@@ -366,36 +366,6 @@ fn main() {
         }
     }
 
-    // --- jmb-lint workspace pass ----------------------------------------
-    // The determinism auditor runs on every CI push, so its own runtime is
-    // a tracked budget: files are loaded once outside the timer (I/O is
-    // the repo's, not the lint's), then the full engine — lex, symbol
-    // index, all lints, allow-matching — is timed per pass.
-    {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| std::path::PathBuf::from("."));
-        match jmb_lint::engine::load(&root) {
-            Ok(files) if !files.is_empty() => {
-                let ns = time_median(samples.min(5), min_batch, || {
-                    std::hint::black_box(jmb_lint::engine::run(&files));
-                });
-                entries.push(Entry {
-                    name: "lint_workspace_ms",
-                    ns_per_op: ns,
-                    throughput: Some((files.len() as f64 / (ns * 1e-9), "files/s")),
-                });
-                println!(
-                    "lint_workspace_ms           {ns:>12.1} ns/op  ({:.1} ms, {} files)",
-                    ns / 1e6,
-                    files.len()
-                );
-            }
-            _ => println!("lint_workspace_ms           skipped (no workspace sources found)"),
-        }
-    }
-
     // --- Span report ----------------------------------------------------
     let spans = jmb_obs::span_report();
     if !spans.is_empty() {

@@ -25,7 +25,6 @@
 //! `--out DIR` and `--threads N`; `--help` prints usage. Criterion
 //! micro-benchmarks for the hot code paths live under `benches/`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod sweeps;

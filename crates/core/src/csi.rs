@@ -12,6 +12,20 @@
 //! misses the lead's header K times in a row is marked degraded and
 //! excluded from joint batches until it hears a header again.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::error::JmbError;
 
 /// Capped exponential backoff for re-measurement attempts.

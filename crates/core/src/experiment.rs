@@ -39,6 +39,10 @@ pub struct SweepConfig {
 }
 
 impl Default for SweepConfig {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned host-parallelism read: it sizes the worker pool, and results are identical at every parallelism"
+    )]
     fn default() -> Self {
         SweepConfig {
             n_topologies: 20,
@@ -1203,6 +1207,10 @@ mod tests {
         };
         let out = parallel_map(&sweep, |i| {
             if i < 3 {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "uneven per-item cost is the point of the test"
+                )]
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
             i

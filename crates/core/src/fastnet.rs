@@ -14,6 +14,20 @@
 //! the sample-level chain in [`crate::net`], and the two are cross-validated
 //! in the workspace integration tests.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
 use crate::precoder::Precoder;
@@ -260,9 +274,12 @@ impl FastNet {
             let mut best = (0usize, f64::MIN);
             for (i, &a) in aps.iter().enumerate() {
                 let mean_db = {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "constructor-local — the loop above installed a link for every (ap, client) pair of this very medium"
+                    )]
                     let link = medium
                         .link(a, c)
-                        // jmb-allow(no-panic-hot-path): constructor-local — the loop above installed a link for every (ap, client) pair of this very medium
                         .expect("invariant: every (ap, client) link was installed above");
                     let acc: f64 = occupied_list
                         .iter()
@@ -471,8 +488,11 @@ impl FastNet {
 
     /// Advances time (oscillators drift; call [`FastNet::evolve_fading`]
     /// separately to age the channels).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller"
+    )]
     pub fn advance(&mut self, dt: f64) {
-        // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller
         assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
         self.now += dt;
     }
@@ -742,8 +762,11 @@ impl FastNet {
                         eff[(j, i)] = h_now[(j, i)] * c;
                     }
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "eff (nb x n_tx), w (n_tx x nb), g (nb x nb) are sized from the same dims a few lines up; mul_into only errors on shape mismatch"
+                )]
                 eff.mul_into(w, &mut g)
-                    // jmb-allow(no-panic-hot-path): eff (nb x n_tx), w (n_tx x nb), g (nb x nb) are sized from the same dims a few lines up; mul_into only errors on shape mismatch
                     .expect("invariant: eff/w/g allocated with matching dims just above");
                 for j in 0..n_clients {
                     sig[j * n_k + k_idx] += g[(j, j)].norm_sqr();
@@ -1180,8 +1203,11 @@ impl FastNet {
                         eff[(r, c)] = pair_rows[r * na_eff + c][k_idx] * corr_c;
                     }
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "eff (nb x n_tx), w (n_tx x nb), g (nb x nb) are sized from the same dims a few lines up; mul_into only errors on shape mismatch"
+                )]
                 eff.mul_into(w, &mut g)
-                    // jmb-allow(no-panic-hot-path): eff (nb x n_tx), w (n_tx x nb), g (nb x nb) are sized from the same dims a few lines up; mul_into only errors on shape mismatch
                     .expect("invariant: eff/w/g allocated with matching dims just above");
                 for r in 0..nb {
                     sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();

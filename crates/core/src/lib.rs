@@ -22,7 +22,6 @@
 //! | [`baseline`] | §11 | the comparison systems: 802.11 TDMA equal-share and single-AP MU-MIMO |
 //! | [`experiment`] | §11 | the harness that regenerates every figure of the evaluation |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

@@ -14,6 +14,20 @@
 //! are ACKed. If a packet is not ACKed, they can be combined with other
 //! packets in the queue for future concurrent transmissions").
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use jmb_obs::Registry;
 use std::collections::VecDeque;
 
@@ -257,8 +271,11 @@ impl JmbMac {
 
     /// Enqueues a downlink packet (distributed to all APs over the wired
     /// backend) and returns its queue-assigned id.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "an unknown client index is a harness programming error — clients are fixed at MAC construction"
+    )]
     pub fn enqueue(&mut self, dest: usize, payload: Vec<u8>) -> u64 {
-        // jmb-allow(no-panic-hot-path): an unknown client index is a harness programming error — clients are fixed at MAC construction
         assert!(dest < self.designated_ap.len(), "unknown client {dest}");
         let id = self.next_id;
         self.next_id += 1;
@@ -333,13 +350,16 @@ impl JmbMac {
     /// queue unless their retry budget is spent. `airtime_s` is the airtime
     /// the whole joint transmission consumed. Returns the fate of each
     /// packet, in batch order.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "caller contract — the batch and its ack vector are built together by the traffic backend"
+    )]
     pub fn complete_batch(
         &mut self,
         batch: Vec<MacPacket>,
         acked: &[bool],
         airtime_s: f64,
     ) -> Vec<PacketFate> {
-        // jmb-allow(no-panic-hot-path): caller contract — the batch and its ack vector are built together by the traffic backend
         assert_eq!(batch.len(), acked.len(), "one ack per batch packet");
         if batch.is_empty() {
             return Vec::new();

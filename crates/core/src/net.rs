@@ -22,6 +22,20 @@
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan};
@@ -259,8 +273,11 @@ impl JmbNetwork {
 
     /// Advances time without any transmissions (e.g. to let oscillators
     /// drift between the measurement and the data phases).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a negative dt is a harness programming error; simulated time only flows forward"
+    )]
     pub fn advance(&mut self, dt: f64) {
-        // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error; simulated time only flows forward
         assert!(dt >= 0.0, "cannot rewind time");
         self.now += dt;
         self.medium.expire(self.now - 0.05);
@@ -456,6 +473,10 @@ impl JmbNetwork {
     /// reuse the corrections from the most recent successful joint
     /// transmission (stale phase state — decoding degrades further with
     /// time, it does not error).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! checks an internal invariant in debug builds only"
+    )]
     pub fn joint_transmit_masked(
         &mut self,
         payloads: &[Vec<u8>],

@@ -17,7 +17,7 @@
 
 use crate::complex::Complex64;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::f64::consts::PI;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -145,12 +145,7 @@ impl FftPlan {
 }
 
 /// Process-wide plan cache: one [`FftPlan`] per size, shared across threads.
-///
-/// Determinism audit (`no-unordered-iteration`): this `HashMap` is only
-/// ever accessed by key (`entry(n)`) — it is never iterated, drained, or
-/// collected from — so its nondeterministic bucket order cannot reach any
-/// emitted value. The plans themselves are pure functions of `n`.
-static GLOBAL_PLANS: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
+static GLOBAL_PLANS: OnceLock<Mutex<BTreeMap<usize, Arc<FftPlan>>>> = OnceLock::new();
 
 thread_local! {
     /// Per-thread fast path: plans indexed by `log2(n)` so the steady-state
@@ -159,7 +154,7 @@ thread_local! {
 }
 
 fn global_plan(n: usize) -> Arc<FftPlan> {
-    let map = GLOBAL_PLANS.get_or_init(|| Mutex::new(HashMap::new()));
+    let map = GLOBAL_PLANS.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut guard = map.lock().unwrap_or_else(|e| e.into_inner());
     Arc::clone(guard.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
 }

@@ -7,6 +7,11 @@
 //! span costs a single relaxed load; enabling is an explicit opt-in from
 //! perf tooling (`perf_baseline`), never the default.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned host clock: span data never reaches traces or results"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -14,9 +19,7 @@ use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-// Determinism audit (`no-unordered-iteration`): the span table is a
-// `BTreeMap` so `snapshot()` reports in name order — already-ordered, and
-// wall-clock data never reaches traces/CSVs regardless.
+// A `BTreeMap`, so `span_report()` lists spans in name order.
 fn table() -> &'static Mutex<BTreeMap<&'static str, SpanStat>> {
     static TABLE: OnceLock<Mutex<BTreeMap<&'static str, SpanStat>>> = OnceLock::new();
     TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
@@ -131,6 +134,10 @@ mod tests {
         set_spans_enabled(true);
         {
             let _g = span("kernel_b");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the span must measure nonzero time"
+            )]
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         {

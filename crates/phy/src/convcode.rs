@@ -4,6 +4,20 @@
 //! polynomials g₀ = 133₈ and g₁ = 171₈, punctured to rates 2/3 and 3/4 as in
 //! 802.11a/g. The matching soft-decision decoder lives in [`crate::viterbi`].
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::rates::CodeRate;
 
 /// Generator polynomial g0 = 133 octal (LSB = newest bit).
@@ -45,6 +59,10 @@ pub fn encode_raw(data: &[u8]) -> Vec<u8> {
     out
 }
 
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug_assert! checks an internal invariant in debug builds only"
+)]
 fn encode_into<'a>(data: impl Iterator<Item = &'a u8>, out: &mut Vec<u8>) {
     let mut state: u8 = 0; // 6 previous bits
     for &bit in data {
@@ -101,10 +119,13 @@ pub fn depuncture(soft: &[f64], rate: CodeRate, n_coded: usize) -> Vec<f64> {
 /// # Panics
 ///
 /// As [`depuncture`].
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented precondition (# Panics) — the demap stage hands depuncture exactly the surviving soft bits"
+)]
 pub fn depuncture_into(soft: &[f64], rate: CodeRate, n_coded: usize, out: &mut Vec<f64>) {
     let pat = puncture_pattern(rate);
     let expected = (0..n_coded).filter(|i| pat[i % pat.len()]).count();
-    // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the demap stage hands depuncture exactly the surviving soft bits
     assert_eq!(
         soft.len(),
         expected,
@@ -116,7 +137,10 @@ pub fn depuncture_into(soft: &[f64], rate: CodeRate, n_coded: usize, out: &mut V
     let mut it = soft.iter();
     for i in 0..n_coded {
         if pat[i % pat.len()] {
-            // jmb-allow(no-panic-hot-path): the assert above pins soft.len() to the pattern's surviving count — the iterator cannot run dry
+            #[expect(
+                clippy::expect_used,
+                reason = "the assert above pins soft.len() to the pattern's surviving count — the iterator cannot run dry"
+            )]
             out.push(*it.next().expect("length checked above"));
         } else {
             out.push(0.0); // erasure: no information about this bit

@@ -21,6 +21,20 @@
 //!   what JMB's joint beamformer manipulates (precoding is per subcarrier)
 //!   and what the fast per-subcarrier simulator transports.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::chanest::{self, ChannelEstimate};
 use crate::convcode;
 use crate::crc;
@@ -124,6 +138,10 @@ impl FrameTx {
     }
 
     /// Builds the frequency-domain symbols (SIGNAL + DATA) for a payload.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! checks an internal invariant in debug builds only"
+    )]
     pub fn build_bins(&self, mcs: Mcs, payload: &[u8]) -> Result<StreamBins, TxError> {
         let params = self.ofdm.params();
         let psdu = crc::append_crc(payload);
@@ -522,6 +540,10 @@ impl FrameRx {
         })
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! checks an internal invariant in debug builds only"
+    )]
     fn decode_signal(
         &self,
         bins: &[Complex64],
@@ -573,8 +595,11 @@ impl FrameRx {
 /// # Panics
 ///
 /// Panics if `ltf_samples.len() != 160`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented precondition (# Panics) — decode slices exactly one LTF window"
+)]
 pub fn noise_from_ltf(params: &OfdmParams, ltf_samples: &[Complex64]) -> f64 {
-    // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — decode slices exactly one LTF window
     assert_eq!(ltf_samples.len(), preamble::LTF_LEN);
     let plan = jmb_dsp::fft::plan(params.fft_size);
     let mut sym1 = ltf_samples[32..96].to_vec();

@@ -7,6 +7,20 @@
 //! constellation bit positions (so no coded bit is stuck in the
 //! low-reliability LSBs of a QAM symbol).
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::modulation::Modulation;
 use crate::params::OfdmParams;
 
@@ -56,8 +70,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `bits.len() != block_len()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — block length is fixed by the MCS"
+    )]
     pub fn interleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — block length is fixed by the MCS
         assert_eq!(
             bits.len(),
             self.block_len(),
@@ -71,8 +88,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `bits.len() != block_len()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — block length is fixed by the MCS"
+    )]
     pub fn deinterleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — block length is fixed by the MCS
         assert_eq!(
             bits.len(),
             self.block_len(),
@@ -87,8 +107,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `bits.len() != block_len()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — block length is fixed by the MCS"
+    )]
     pub fn deinterleave_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — block length is fixed by the MCS
         assert_eq!(
             bits.len(),
             self.block_len(),
@@ -102,8 +125,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if the stream is not a whole number of blocks.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — streams are produced whole-block by the encoder"
+    )]
     pub fn interleave_stream<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — streams are produced whole-block by the encoder
         assert_eq!(bits.len() % self.block_len(), 0, "stream not whole blocks");
         bits.chunks(self.block_len())
             .flat_map(|b| self.interleave(b))
@@ -115,8 +141,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if the stream is not a whole number of blocks.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — streams are produced whole-block by the encoder"
+    )]
     pub fn deinterleave_stream<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — streams are produced whole-block by the encoder
         assert_eq!(bits.len() % self.block_len(), 0, "stream not whole blocks");
         bits.chunks(self.block_len())
             .flat_map(|b| self.deinterleave(b))

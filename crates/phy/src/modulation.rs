@@ -5,6 +5,20 @@
 //! average energy. The soft demapper produces max-log LLRs per coded bit for
 //! the Viterbi decoder; its sign convention is **positive = bit 0**.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use jmb_dsp::Complex64;
 
 /// Flat constellation lookup shared by the batched demap path: points in
@@ -70,7 +84,10 @@ impl Modulation {
                 let idx = (bits[0] << 2 | bits[1] << 1 | bits[2]) as usize;
                 [-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0][idx]
             }
-            // jmb-allow(no-panic-hot-path): axis widths are 1-3 bits (BPSK..64-QAM) — the Mcs table admits no other constellation
+            #[expect(
+                clippy::unreachable,
+                reason = "axis widths are 1-3 bits (BPSK..64-QAM) — the Mcs table admits no other constellation"
+            )]
             n => unreachable!("axis width {n}"),
         }
     }
@@ -81,8 +98,11 @@ impl Modulation {
     /// # Panics
     ///
     /// Panics if `bits.len() != self.bits_per_symbol()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — bits per symbol is part of the API contract"
+    )]
     pub fn map(self, bits: &[u8]) -> Complex64 {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — bits per symbol is part of the API contract
         assert_eq!(
             bits.len(),
             self.bits_per_symbol(),
@@ -110,9 +130,12 @@ impl Modulation {
     /// # Panics
     ///
     /// Panics if `bits.len()` is not a multiple of `bits_per_symbol()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — bit streams are produced whole-symbol by the encoder"
+    )]
     pub fn map_stream(self, bits: &[u8]) -> Vec<Complex64> {
         let bps = self.bits_per_symbol();
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — bit streams are produced whole-symbol by the encoder
         assert_eq!(
             bits.len() % bps,
             0,
@@ -133,6 +156,10 @@ impl Modulation {
     }
 
     /// Hard demap: nearest constellation point's bits.
+    #[expect(
+        clippy::expect_used,
+        reason = "constellation() yields 2^bits_per_symbol points — never empty for any Modulation variant"
+    )]
     pub fn demap_hard(self, y: Complex64) -> Vec<u8> {
         self.constellation()
             .into_iter()
@@ -141,7 +168,6 @@ impl Modulation {
             // panic the decode path.
             .min_by(|(a, _), (b, _)| (*a - y).norm_sqr().total_cmp(&(*b - y).norm_sqr()))
             .map(|(_, bits)| bits)
-            // jmb-allow(no-panic-hot-path): constellation() yields 2^bits_per_symbol points — never empty for any Modulation variant
             .expect("non-empty constellation")
     }
 
@@ -176,8 +202,11 @@ impl Modulation {
     }
 
     /// Soft-demaps a symbol stream into one flat LLR vector.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition — one CSI weight per symbol, produced by the same channel estimate"
+    )]
     pub fn demap_soft_stream(self, ys: &[Complex64], noise_var: f64, csi: &[f64]) -> Vec<f64> {
-        // jmb-allow(no-panic-hot-path): documented precondition — one CSI weight per symbol, produced by the same channel estimate
         assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
         let mut out = Vec::with_capacity(ys.len() * self.bits_per_symbol());
         for (y, &w) in ys.iter().zip(csi) {
@@ -224,6 +253,10 @@ impl Modulation {
     /// [`Modulation::demap_hard`] pair would — every point distance is
     /// simply computed once per value instead of once per bit — so the
     /// decode chain stays byte-identical whichever path runs.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition — one CSI weight per symbol, produced by the same channel estimate"
+    )]
     pub fn demap_soft_evm_into(
         self,
         ys: &[Complex64],
@@ -232,7 +265,6 @@ impl Modulation {
         llrs: &mut Vec<f64>,
         evm_acc: &mut f64,
     ) {
-        // jmb-allow(no-panic-hot-path): documented precondition — one CSI weight per symbol, produced by the same channel estimate
         assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
         let bps = self.bits_per_symbol();
         let t = self.table();

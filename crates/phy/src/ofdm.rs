@@ -6,6 +6,20 @@
 //! each client is a diagonal (single-tap) channel per subcarrier (paper
 //! Eq. 1/4), so this equalizer is all a client needs.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::params::OfdmParams;
 use jmb_dsp::{fft, Complex64, FftPlan};
 use std::sync::Arc;
@@ -46,8 +60,11 @@ impl Ofdm {
     }
 
     /// Places data and pilots into the 64 FFT bins (frequency domain).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition — the framer always supplies n_data_subcarriers symbols"
+    )]
     pub fn assemble_bins(&self, data: &[Complex64], polarity: f64) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): documented precondition — the framer always supplies n_data_subcarriers symbols
         assert_eq!(
             data.len(),
             self.params.n_data_subcarriers(),
@@ -65,8 +82,11 @@ impl Ofdm {
     }
 
     /// Converts 64 frequency bins into 80 samples (IFFT + cyclic prefix).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "caller contract — bins come from assemble_bins of the same numerology"
+    )]
     pub fn bins_to_samples(&self, bins: &[Complex64]) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): caller contract — bins come from assemble_bins of the same numerology
         assert_eq!(bins.len(), self.params.fft_size);
         let mut body = bins.to_vec();
         self.plan.inverse(&mut body);
@@ -82,8 +102,11 @@ impl Ofdm {
     /// # Panics
     ///
     /// Panics if `samples.len() != 80`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — the frame parser slices whole symbols"
+    )]
     pub fn demodulate_symbol(&self, samples: &[Complex64]) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the frame parser slices whole symbols
         assert_eq!(
             samples.len(),
             self.params.symbol_len(),
@@ -100,8 +123,11 @@ impl Ofdm {
     /// # Panics
     ///
     /// Panics if `samples.len() != 80`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — the frame parser slices whole symbols"
+    )]
     pub fn demodulate_symbol_into(&self, samples: &[Complex64], out: &mut Vec<Complex64>) {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the frame parser slices whole symbols
         assert_eq!(
             samples.len(),
             self.params.symbol_len(),
@@ -154,8 +180,11 @@ pub fn equalize(received: &[Complex64], channel: &[Complex64]) -> Vec<Complex64>
 
 /// Allocation-free [`equalize`]: clears `out` and fills it with the
 /// equalized values (bitwise identical to what [`equalize`] returns).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "caller contract — symbols and channel gains are sliced from the same estimate"
+)]
 pub fn equalize_into(received: &[Complex64], channel: &[Complex64], out: &mut Vec<Complex64>) {
-    // jmb-allow(no-panic-hot-path): caller contract — symbols and channel gains are sliced from the same estimate
     assert_eq!(received.len(), channel.len(), "equalize: length mismatch");
     out.clear();
     out.extend(received.iter().zip(channel).map(|(&y, &h)| {

@@ -21,6 +21,20 @@
 //!   executable specification. Property tests assert the fast decoder is
 //!   bit-exact against it, including NaN and ±∞ soft inputs.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::convcode::{G0, G1, TAIL_BITS};
 
 /// Number of trellis states (`2^(K-1)` for the constraint-length-7 code).

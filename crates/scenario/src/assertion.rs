@@ -13,8 +13,8 @@ use jmb_obs::Event;
 /// Every trace event kind a `count`/`respond` assertion may name.
 ///
 /// Kept in sync with `jmb_obs::EventKind` by a test that parses the enum
-/// out of `crates/obs/src/event.rs` (the same source of truth the repo's
-/// `trace-taxonomy-complete` lint uses).
+/// out of `crates/obs/src/event.rs`, the file `tests/repo_invariants.rs`
+/// also reads.
 pub const KNOWN_EVENT_KINDS: &[&str] = &[
     "Transmit",
     "Render",
@@ -310,8 +310,7 @@ mod tests {
     }
 
     /// The hand-maintained kind list matches the real `EventKind` enum:
-    /// parse the variant names straight out of `crates/obs/src/event.rs`
-    /// the same way the `trace-taxonomy-complete` lint does.
+    /// parse the variant names straight out of `crates/obs/src/event.rs`.
     #[test]
     fn known_event_kinds_match_the_enum() {
         let src = include_str!("../../obs/src/event.rs");

@@ -27,8 +27,20 @@
 //! [`report::Verdict`] values — the runner never panics, so the repo's
 //! hot-path lint covers this crate too.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod assertion;
 pub mod error;

@@ -10,6 +10,20 @@
 //! exits 0 (pass), 1 (assertion failed), 2 (invalid manifest/CLI), or 3
 //! (resource limit hit). `check` parses and validates only.
 
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use jmb_scenario::{
     run_manifest, Manifest, RunOptions, ScenarioError, ScenarioReport, EXIT_INVALID, EXIT_PASS,
 };

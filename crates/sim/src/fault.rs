@@ -130,8 +130,11 @@ impl FaultConfig {
     ///
     /// Panics if `p` is outside `[0, 1]`. Prefer [`FaultConfig::builder`]
     /// to combine faults and get a `Result` instead of a panic.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — the fallible path is FaultConfig::builder, which returns FaultError"
+    )]
     pub fn with_drop_chance(p: f64) -> Self {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the fallible path is FaultConfig::builder, which returns FaultError
         assert!((0.0..=1.0).contains(&p), "drop chance {p} outside [0,1]");
         FaultConfig {
             drop_chance: p,
@@ -145,8 +148,11 @@ impl FaultConfig {
     ///
     /// Panics if `p` is outside `[0, 1]`. Prefer [`FaultConfig::builder`]
     /// to combine faults and get a `Result` instead of a panic.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — the fallible path is FaultConfig::builder, which returns FaultError"
+    )]
     pub fn with_corrupt_chance(p: f64) -> Self {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the fallible path is FaultConfig::builder, which returns FaultError
         assert!((0.0..=1.0).contains(&p), "corrupt chance {p} outside [0,1]");
         FaultConfig {
             corrupt_chance: p,

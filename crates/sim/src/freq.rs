@@ -297,6 +297,10 @@ impl SubcarrierMedium {
     /// Evaluates the oscillator state of `snap`'s node sets at instant `t`:
     /// pair phasors `e^{j(φ_tx−φ_rx)}` and per-pair sample-clock slips,
     /// once per instant instead of once per (pair, subcarrier).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! checks an internal invariant in debug builds only"
+    )]
     pub fn instant_phasors(&mut self, snap: &StaticChannel, t: f64, out: &mut InstantPhasors) {
         let n_tx = snap.txs.len();
         let tx_state: Vec<(f64, f64)> = snap
@@ -335,6 +339,10 @@ impl SubcarrierMedium {
     /// # Panics
     ///
     /// Panics if any transmit vector is not `fft_size` long.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "caller contract — every transmitter renders bins with the medium's own fft_size"
+    )]
     pub fn transmit_symbol(
         &mut self,
         txs: &[(NodeId, &[Complex64])],
@@ -343,7 +351,6 @@ impl SubcarrierMedium {
     ) -> Vec<Vec<Complex64>> {
         let n = self.params.fft_size;
         for (_, bins) in txs {
-            // jmb-allow(no-panic-hot-path): caller contract — every transmitter renders bins with the medium's own fft_size
             assert_eq!(bins.len(), n, "tx bins must be fft_size long");
         }
         let occupied = self.params.occupied_subcarriers();

@@ -23,8 +23,20 @@
 //! Determinism: the medium owns one RNG (for noise and faults); node
 //! oscillators own theirs. Same seeds ⇒ same waveforms, bit for bit.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod fault;
 pub mod freq;

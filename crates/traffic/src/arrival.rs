@@ -35,6 +35,10 @@ pub enum PacketSizeDist {
 
 impl PacketSizeDist {
     /// Draws one packet size.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! checks an internal invariant in debug builds only"
+    )]
     pub fn sample(&self, rng: &mut JmbRng) -> usize {
         match *self {
             PacketSizeDist::Fixed(n) => n,
@@ -106,6 +110,10 @@ impl ArrivalProcess {
 }
 
 /// Exponential draw with the given mean (inverse-CDF of `U(0,1)`).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug_assert! checks an internal invariant in debug builds only"
+)]
 fn exp_sample(rng: &mut JmbRng, mean: f64) -> f64 {
     debug_assert!(mean > 0.0);
     let u: f64 = rng.gen();

@@ -10,8 +10,20 @@
 //! per-subcarrier sweeps, [`SampleBackend`] for full sample-level
 //! validation (real OFDM frames, real CRCs, fault injection).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hot path: no panicking calls outside tests (DESIGN.md §3.10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod arrival;
 pub mod backend;

@@ -135,6 +135,10 @@ impl TrafficMetrics {
     /// index order, never thread completion order), so the floating-point
     /// sums are bit-identical run to run — part of the determinism
     /// contract (DESIGN.md §3.15).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "merge pools runs of one sweep cell — differing client counts is a harness programming error"
+    )]
     pub fn merge(runs: &[TrafficMetrics]) -> TrafficMetrics {
         let mut out = TrafficMetrics::default();
         let Some(first) = runs.first() else {
@@ -144,7 +148,6 @@ impl TrafficMetrics {
         out.offered_bps = first.offered_bps;
         out.per_client_bits = vec![0.0; first.per_client_bits.len()];
         for r in runs {
-            // jmb-allow(no-panic-hot-path): merge pools runs of one sweep cell — differing client counts is a harness programming error
             assert_eq!(
                 r.per_client_bits.len(),
                 out.per_client_bits.len(),
