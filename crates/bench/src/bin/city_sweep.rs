@@ -20,7 +20,7 @@
 //! property or runtime error, 2 invalid CLI.
 
 use jmb_bench::sweeps::{self, SweepSettings};
-use jmb_bench::{accept, banner, or_fail, FigOpts, USAGE};
+use jmb_bench::{accept, banner, or_fail, FigOpts, TRACE_USAGE, USAGE};
 use jmb_city::Reuse;
 use jmb_core::experiment::write_csv;
 
@@ -28,6 +28,7 @@ const EXTRA_USAGE: &str =
     "  --reuse LIST   comma-separated reuse factors from {1,3,7} (default 1,3,7)";
 
 fn main() {
+    let usage = format!("{USAGE}\n{TRACE_USAGE}\n{EXTRA_USAGE}");
     // Strip --reuse before handing the rest to the shared parser.
     let mut reuses: Vec<Reuse> = Reuse::ALL.to_vec();
     let mut rest: Vec<String> = Vec::new();
@@ -39,9 +40,7 @@ fn main() {
             match parsed {
                 Some(list) if !list.is_empty() => reuses = list,
                 _ => {
-                    eprintln!(
-                        "error: --reuse needs factors from {{1,3,7}}\n{USAGE}\n{EXTRA_USAGE}"
-                    );
+                    eprintln!("error: --reuse needs factors from {{1,3,7}}\n{usage}");
                     std::process::exit(2);
                 }
             }
@@ -49,17 +48,7 @@ fn main() {
             rest.push(a);
         }
     }
-    let opts = match FigOpts::parse(rest) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}\n{EXTRA_USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}\n{EXTRA_USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let opts = FigOpts::or_exit(FigOpts::parse(rest, true), &usage);
     banner(
         "city_sweep",
         "area capacity vs frequency-reuse factor",

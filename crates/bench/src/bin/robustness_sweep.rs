@@ -31,10 +31,13 @@
 //! field-name message).
 
 use jmb_bench::sweeps::{self, SweepSettings};
-use jmb_bench::{accept, banner, or_fail, FigOpts, USAGE};
+use jmb_bench::{accept, banner, or_fail, FigOpts, TRACE_USAGE, USAGE};
 use jmb_core::experiment::write_csv;
 use jmb_sim::FaultConfig;
 use jmb_traffic::TrafficMetrics;
+
+const EXTRA_USAGE: &str = "  --sync-loss P  single-cell mode: sync-header loss probability
+  --meas-loss P  single-cell mode: measurement-frame loss probability";
 
 fn print_header() {
     println!("loss_pct  goodput_mbps  sync_misses  remeas_fail  degraded  restored");
@@ -53,6 +56,7 @@ fn print_row(loss: f64, m: &TrafficMetrics) {
 }
 
 fn main() {
+    let usage = format!("{USAGE}\n{TRACE_USAGE}\n{EXTRA_USAGE}");
     // Strip the robustness-specific flags before handing the rest to the
     // shared parser (which rejects unknown arguments).
     let mut sync_loss: Option<f64> = None;
@@ -71,26 +75,12 @@ fn main() {
         match args.next().and_then(|s| s.parse::<f64>().ok()) {
             Some(p) => *slot = Some(p),
             None => {
-                eprintln!("error: {a} needs a numeric probability\n{USAGE}");
-                eprintln!("  --sync-loss P  single-cell mode: sync-header loss probability");
-                eprintln!("  --meas-loss P  single-cell mode: measurement-frame loss probability");
+                eprintln!("error: {a} needs a numeric probability\n{usage}");
                 std::process::exit(2);
             }
         }
     }
-    let opts = match FigOpts::parse(rest) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            println!("  --sync-loss P  single-cell mode: sync-header loss probability");
-            println!("  --meas-loss P  single-cell mode: measurement-frame loss probability");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let opts = FigOpts::or_exit(FigOpts::parse(rest, true), &usage);
     banner(
         "robustness_sweep",
         "goodput vs control-frame loss (graceful degradation)",
@@ -111,7 +101,7 @@ fn main() {
         {
             Ok(f) => f,
             Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
+                eprintln!("error: {e}\n{usage}");
                 std::process::exit(2);
             }
         };

@@ -25,22 +25,12 @@
 //! contract: 0 pass, 1 failed acceptance property, 2 invalid CLI.
 
 use jmb_bench::sweeps::{self, SweepSettings};
-use jmb_bench::{accept, banner, or_fail, FigOpts, USAGE};
+use jmb_bench::{accept, banner, or_fail, FigOpts};
 use jmb_core::experiment::write_csv;
 use jmb_core::sync::{SyncStrategyId, SYNC_ERROR_BUDGET_RAD};
 
 fn main() {
-    let opts = match FigOpts::parse(std::env::args().skip(1)) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let opts = FigOpts::from_args();
     banner(
         "sync_shootout",
         "pluggable sync backends: phase error, control overhead, storms",

@@ -22,11 +22,14 @@
 //! property or runtime error, 2 invalid CLI.
 
 use jmb_bench::sweeps::{self, SweepSettings};
-use jmb_bench::{accept, banner, or_fail, FigOpts};
+use jmb_bench::{accept, banner, or_fail, FigOpts, TRACE_USAGE, USAGE};
 use jmb_core::experiment::write_csv;
 
 fn main() {
-    let opts = FigOpts::from_args();
+    let opts = FigOpts::or_exit(
+        FigOpts::parse(std::env::args().skip(1), true),
+        &format!("{USAGE}\n{TRACE_USAGE}"),
+    );
     banner(
         "traffic_sweep",
         "goodput/latency vs offered load, AP count, and failover",

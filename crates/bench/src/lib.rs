@@ -16,14 +16,15 @@
 //! | `fig13_compat_fairness` | Fig. 13 — CDF of 802.11n-compat gain |
 //! | `ablation_phase_sync` | Fig. 9 with slave corrections disabled |
 //! | `run_all_figures` | everything above in sequence |
-//! | `perf_baseline` | hot-path timing suite → `BENCH_<date>.json` |
 //! | `traffic_sweep` | goodput/latency vs offered load and AP count, plus a lead-AP failover run |
 //! | `city_sweep` | area capacity (bits/s/km²) vs frequency-reuse factor on a sharded multi-cell grid |
 //! | `sync_shootout` | pluggable sync backends side by side: phase-error CDF, control-overhead fraction, storm scaling |
 //!
-//! All binaries accept `--quick` (or env `JMB_QUICK=1`), `--seed N`,
-//! `--out DIR` and `--threads N`; `--help` prints usage. Criterion
-//! micro-benchmarks for the hot code paths live under `benches/`.
+//! All binaries accept `--quick`, `--seed N`, `--out DIR` and
+//! `--threads N`; `--help` prints usage. `traffic_sweep`, `city_sweep` and
+//! `robustness_sweep` also accept `--trace-out F`; the others write no
+//! trace and reject it. Performance is measured by the separate
+//! `perfbench` crate at the repository root, not here.
 
 #![warn(missing_docs)]
 
@@ -34,12 +35,15 @@ use std::path::PathBuf;
 /// Usage text shared by every figure binary.
 pub const USAGE: &str = "\
 Options:
-  --quick        reduced sweep for smoke runs (also: env JMB_QUICK=1)
+  --quick        reduced sweep for smoke runs
   --seed N       master seed (default 1)
   --out DIR      output directory for CSVs (default results/)
   --threads N    worker threads for the topology sweep (default: all cores)
-  --trace-out F  dump the structured event trace of one cell to F (.jsonl)
   --help, -h     print this help";
+
+/// The extra usage line of the binaries that write an event trace.
+pub const TRACE_USAGE: &str =
+    "  --trace-out F  dump the structured event trace of one cell to F (.jsonl)";
 
 /// Command-line options shared by every figure binary.
 #[derive(Debug, Clone)]
@@ -58,18 +62,24 @@ pub struct FigOpts {
 
 impl FigOpts {
     /// Parses `--quick`, `--seed N`, `--out DIR`, `--threads N` from
-    /// `std::env::args`, honouring `JMB_QUICK=1`. `--help`/`-h` prints
-    /// usage and exits 0; an unknown or malformed argument prints usage to
-    /// stderr and exits 2 (no panic, no backtrace).
+    /// `std::env::args` for a binary that writes no trace, exiting as
+    /// [`Self::or_exit`] does on help or a malformed argument.
     pub fn from_args() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+        Self::or_exit(Self::parse(std::env::args().skip(1), false), USAGE)
+    }
+
+    /// Returns the parsed options, or prints `usage` and exits: 0 when help
+    /// was requested, 2 with the error named on an unknown or malformed
+    /// argument (no panic, no backtrace).
+    pub fn or_exit(parsed: Result<Option<Self>, String>, usage: &str) -> Self {
+        match parsed {
             Ok(Some(opts)) => opts,
             Ok(None) => {
-                println!("{USAGE}");
+                println!("{usage}");
                 std::process::exit(0);
             }
             Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
+                eprintln!("error: {msg}\n{usage}");
                 std::process::exit(2);
             }
         }
@@ -77,11 +87,14 @@ impl FigOpts {
 
     /// The testable core of [`Self::from_args`]: `Ok(None)` means help was
     /// requested; `Err` carries the message for a malformed invocation.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<Self>, String> {
+    /// Only a `traced` binary, one that writes an event trace, accepts
+    /// `--trace-out F`.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        traced: bool,
+    ) -> Result<Option<Self>, String> {
         let mut opts = FigOpts {
-            quick: std::env::var("JMB_QUICK")
-                .map(|v| v != "0")
-                .unwrap_or(false),
+            quick: false,
             seed: 1,
             out_dir: PathBuf::from("results"),
             threads: None,
@@ -111,12 +124,15 @@ impl FigOpts {
                     }
                     opts.threads = Some(n);
                 }
-                "--trace-out" => {
+                "--trace-out" if traced => {
                     opts.trace_out = Some(
                         args.next()
                             .map(PathBuf::from)
                             .ok_or("--trace-out needs a path")?,
                     );
+                }
+                "--trace-out" => {
+                    return Err("--trace-out is not supported: this binary writes no trace".into())
                 }
                 other => return Err(format!("unknown argument {other}")),
             }
@@ -225,25 +241,14 @@ mod tests {
         assert_eq!(o.csv_path("a.csv"), PathBuf::from("/tmp/x/a.csv"));
     }
 
-    fn sv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn parse(args: &str, traced: bool) -> Result<Option<FigOpts>, String> {
+        FigOpts::parse(args.split_whitespace().map(String::from), traced)
     }
 
     #[test]
     fn parse_accepts_all_flags() {
-        let o = FigOpts::parse(sv(&[
-            "--quick",
-            "--seed",
-            "9",
-            "--out",
-            "/tmp/o",
-            "--threads",
-            "3",
-            "--trace-out",
-            "/tmp/t.jsonl",
-        ]))
-        .unwrap()
-        .unwrap();
+        let all = "--quick --seed 9 --out /tmp/o --threads 3 --trace-out /tmp/t.jsonl";
+        let o = parse(all, true).unwrap().unwrap();
         assert!(o.quick);
         assert_eq!(o.seed, 9);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/o"));
@@ -253,17 +258,26 @@ mod tests {
 
     #[test]
     fn parse_help_is_ok_none() {
-        assert!(FigOpts::parse(sv(&["--help"])).unwrap().is_none());
-        assert!(FigOpts::parse(sv(&["-h"])).unwrap().is_none());
+        assert!(parse("--help", false).unwrap().is_none());
+        assert!(parse("-h", false).unwrap().is_none());
     }
 
     #[test]
     fn parse_rejects_bad_args() {
-        assert!(FigOpts::parse(sv(&["--bogus"])).is_err());
-        assert!(FigOpts::parse(sv(&["--seed"])).is_err());
-        assert!(FigOpts::parse(sv(&["--seed", "x"])).is_err());
-        assert!(FigOpts::parse(sv(&["--threads", "0"])).is_err());
-        assert!(FigOpts::parse(sv(&["--trace-out"])).is_err());
+        assert!(parse("--bogus", false).is_err());
+        assert!(parse("--seed", false).is_err());
+        assert!(parse("--seed x", false).is_err());
+        assert!(parse("--threads 0", false).is_err());
+        assert!(parse("--trace-out", true).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_trace_out_where_nothing_is_traced() {
+        let err = parse("--trace-out /tmp/t.jsonl", false).unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
+        let o = parse("", false).unwrap().unwrap();
+        assert!(!o.quick);
+        assert_eq!(o.trace_out, None);
     }
 
     #[test]

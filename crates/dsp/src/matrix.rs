@@ -567,19 +567,18 @@ impl ZfSolver {
     /// Hermitian) into the solver's scratch and returns the largest diagonal
     /// entry.
     ///
-    /// This is the first stage of [`ZfSolver::pinv_into`], split out so the
-    /// benchmark suite can measure it in isolation. `H`'s conjugate transpose
-    /// is staged once into a `n_tx × n_streams` scratch so the accumulation
-    /// inner loop runs over contiguous rows (one broadcast element times one
-    /// contiguous row per step), which LLVM vectorises; per output cell the
-    /// summation order is ascending `k`, identical to a direct dot-product
-    /// scan, so the assembled Gram matrix is bitwise identical to the naive
-    /// triple loop.
+    /// This is the first stage of [`ZfSolver::pinv_into`]. `H`'s conjugate
+    /// transpose is staged once into a `n_tx × n_streams` scratch so the
+    /// accumulation inner loop runs over contiguous rows (one broadcast
+    /// element times one contiguous row per step), which LLVM vectorises;
+    /// per output cell the summation order is ascending `k`, identical to a
+    /// direct dot-product scan, so the assembled Gram matrix is bitwise
+    /// identical to the naive triple loop.
     ///
     /// Returns [`MatError::Singular`] when the largest diagonal entry is not
     /// a positive finite number, and [`MatError::DimensionMismatch`] when
     /// `h`'s shape does not match the solver's.
-    pub fn gram_assembly(&mut self, h: &CMat) -> Result<f64, MatError> {
+    fn gram_assembly(&mut self, h: &CMat) -> Result<f64, MatError> {
         let (n, m) = (self.n_streams, self.n_tx);
         if h.rows() != n || h.cols() != m {
             return Err(MatError::DimensionMismatch {

@@ -10,10 +10,15 @@
 # Their dynamic counterpart, the schedule-perturbation harness, is CI's
 # det-matrix job; run it locally with
 #   cargo run --release -p jmb-bench --bin det_harness -- --quick
+# The release-only tests and the benchmark's digest pins run in CI's check
+# and perfbench jobs; run them locally with
+#   cargo test --release --workspace
+#   cargo test --release --offline --manifest-path perfbench/Cargo.toml
+#   python3 perfbench/selftest.py --seconds 1
 #
 # The jmb-* packages must be rustfmt-clean; the vendored stand-in crates
-# under vendor/ (rand, proptest, criterion) are kept byte-comparable to
-# their upstreams and are exempt from formatting.
+# under vendor/ (rand, proptest) are kept byte-comparable to their
+# upstreams and are exempt from formatting.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
