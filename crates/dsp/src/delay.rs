@@ -1,11 +1,12 @@
-//! Fractional-sample delay.
+//! Windowed-sinc interpolation of a sampled waveform at any real position.
 //!
 //! Propagation delays between APs and clients are generally not integer
 //! multiples of the sample period (at 10 MHz one sample is 100 ns ≈ 30 m of
-//! propagation; conference-room distances are a fraction of that). The
-//! simulator therefore needs sub-sample delays: an integer part handled by
-//! buffer offset and a fractional part handled here by windowed-sinc
-//! interpolation.
+//! propagation; conference-room distances are a fraction of that), and a
+//! transmitter's sample clock runs slightly off the receiver's. The sample
+//! medium therefore reads each transmitted waveform at real-valued
+//! positions — propagation delay plus sample-clock offset — and this module
+//! interpolates it there.
 //!
 //! The paper notes (§5.2, footnote 3) that delay differences between APs show
 //! up as per-subcarrier phase slopes that are *captured by channel
@@ -13,6 +14,8 @@
 //! faithfully requires actually delaying the waveforms, which this module does.
 
 use crate::complex::Complex64;
+use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Number of taps on each side of the centre tap in the interpolation
 /// kernel. 24 keeps the in-band interpolation error below ≈ −50 dB even at
@@ -23,149 +26,112 @@ use crate::complex::Complex64;
 /// on this resampler.
 const HALF_TAPS: usize = 24;
 
-/// Applies a (possibly fractional) delay of `delay_samples ≥ 0` to `input`.
-///
-/// Returns a buffer of the same length as `input` plus the integer part of
-/// the delay plus the interpolation-kernel tail, so no energy is truncated.
-/// The output `y[n]` approximates `x[n − delay]` with `x` treated as zero
-/// outside its support.
-///
-/// The fractional part is implemented with a Hann-windowed sinc interpolator
-/// (17 taps), accurate to better than −60 dB interpolation error for signals
-/// bandlimited to ~80% of Nyquist — comfortably covering OFDM occupied
-/// bandwidth (52/64 of Nyquist).
-///
-/// # Panics
-///
-/// Panics if `delay_samples` is negative or non-finite.
-pub fn fractional_delay(input: &[Complex64], delay_samples: f64) -> Vec<Complex64> {
-    assert!(
-        delay_samples.is_finite() && delay_samples >= 0.0,
-        "delay must be finite and non-negative, got {delay_samples}"
-    );
-    let int_part = delay_samples.floor() as usize;
-    let frac = delay_samples - delay_samples.floor();
+/// Kernel length: the centre tap plus `HALF_TAPS` on each side.
+const TAPS: usize = 2 * HALF_TAPS + 1;
 
-    let out_len = input.len() + int_part + HALF_TAPS + 1;
-    let mut out = vec![Complex64::ZERO; out_len];
+/// The Hann window reaches zero at `|t| = WINDOW_HALF`, one sample past the
+/// outermost tap.
+const WINDOW_HALF: f64 = HALF_TAPS as f64 + 1.0;
 
-    if frac < 1e-12 {
-        // Pure integer delay: just shift.
-        for (i, &x) in input.iter().enumerate() {
-            out[i + int_part] = x;
-        }
-        return out;
-    }
-
-    // y[n] = Σ_k x[k] · h(n − int_part − k − frac), h = windowed sinc.
-    // Equivalently convolve x with the fractional-delay kernel
-    // h[m] = sinc(m − frac)·w(m − frac) for m in −HALF..=+HALF, then shift.
-    let kernel: Vec<f64> = (-(HALF_TAPS as isize)..=HALF_TAPS as isize)
-        .map(|m| {
-            let t = m as f64 - frac;
-            sinc(t) * hann_window(t)
-        })
-        .collect();
-
-    for (k, &x) in input.iter().enumerate() {
-        if x == Complex64::ZERO {
-            continue;
-        }
-        for (j, &h) in kernel.iter().enumerate() {
-            // m = j − HALF_TAPS; output index = k + int_part + m + HALF_TAPS
-            //                                 = k + int_part + j.
-            let idx = k + int_part + j;
-            if idx < out.len() {
-                out[idx] += x.scale(h);
-            }
-        }
-    }
-    // The kernel is centred HALF_TAPS into its support, so the whole output
-    // is advanced by HALF_TAPS; trim the leading samples to re-align.
-    out.drain(..HALF_TAPS);
-    out
+/// Per-tap constants for `m = j − HALF_TAPS`: the window phase
+/// `(cos(πm/W), sin(πm/W))`, `W = WINDOW_HALF`, and `m` itself, because
+/// loading it keeps the weight loop vectorised where converting `j` per tap
+/// made the kernel ~40% slower.
+struct KernelTable {
+    m: [f64; TAPS],
+    cos_m: [f64; TAPS],
+    sin_m: [f64; TAPS],
 }
 
-/// Resamples `input` at positions `n·ratio + offset` for `n = 0..out_len`,
-/// using the same windowed-sinc interpolator as [`fractional_delay`].
+fn kernel_table() -> &'static KernelTable {
+    static TABLE: OnceLock<KernelTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let m: [f64; TAPS] = std::array::from_fn(|j| j as f64 - HALF_TAPS as f64);
+        KernelTable {
+            m,
+            cos_m: m.map(|m| (PI * m / WINDOW_HALF).cos()),
+            sin_m: m.map(|m| (PI * m / WINDOW_HALF).sin()),
+        }
+    })
+}
+
+/// The weights `h[j] = sinc(t)·hann(t)` at `t = (j − HALF_TAPS) − frac`,
+/// for `frac` in `[0, 1]`, from three transcendentals instead of one `sin`
+/// and one `cos` per tap (DESIGN.md §3.1):
 ///
-/// This models a receiver whose ADC runs at a slightly different rate than
-/// the transmitter's DAC (sampling-frequency offset): `ratio = fs_tx/fs_rx`,
-/// so `ratio > 1` means the receiver clock is slow and the waveform drifts
-/// later over time. `offset` (in input samples, ≥ 0) carries the propagation
-/// delay. Positions outside the input are treated as zero.
-///
-/// # Panics
-///
-/// Panics if `ratio` or `offset` is non-finite, `ratio ≤ 0`, or `offset < 0`.
-pub fn resample(input: &[Complex64], ratio: f64, offset: f64, out_len: usize) -> Vec<Complex64> {
-    assert!(ratio.is_finite() && ratio > 0.0, "bad ratio {ratio}");
-    assert!(offset.is_finite() && offset >= 0.0, "bad offset {offset}");
-    let mut out = Vec::with_capacity(out_len);
-    for n in 0..out_len {
-        let pos = n as f64 * ratio - offset;
-        out.push(interpolate_at(input, pos));
+/// * `sin(π(m − f)) = −(−1)^m·sin(πf)`, and `sin(πf) = sin(π(1 − f))`: the
+///   smaller of the two arguments keeps the sine's relative accuracy as
+///   `f → 1`, where the `m = 1` weight divides it by the tiny exact `1 − f`.
+/// * `cos(π(m − f)/W) = cos(πm/W)·cos(πf/W) + sin(πm/W)·sin(πf/W)`, with
+///   the per-tap factors from [`kernel_table`].
+#[inline]
+fn kernel(frac: f64) -> [f64; TAPS] {
+    let s = (PI * frac.min(1.0 - frac)).sin();
+    let (sw, cw) = (PI * frac / WINDOW_HALF).sin_cos();
+    let tab = kernel_table();
+    let mut h = [0.0; TAPS];
+    for (j, hj) in h.iter_mut().enumerate() {
+        let t = tab.m[j] - frac;
+        // −(−1)^m·sin(πf), and m = j − HALF_TAPS has j's parity (HALF_TAPS
+        // is even).
+        let sinc = if t.abs() < 1e-12 {
+            1.0
+        } else if j % 2 == 0 {
+            -s / (PI * t)
+        } else {
+            s / (PI * t)
+        };
+        let hann = 0.5 * (1.0 + (tab.cos_m[j] * cw + tab.sin_m[j] * sw));
+        *hj = sinc * hann;
     }
-    out
+    h
 }
 
 /// Windowed-sinc interpolation of `input` at (possibly fractional) position
 /// `pos`; zero outside the signal's support.
+///
+/// The kernel is a Hann-windowed sinc over `2·HALF_TAPS + 1 = 49` taps: its
+/// interpolation error stays below ≈ −50 dB for signals bandlimited to ~81%
+/// of Nyquist, which covers the OFDM occupied band (52/64 of Nyquist).
+/// Samples outside `input` count as zero, so a kernel that only partly
+/// overlaps the signal sums the overlapping taps.
 pub fn interpolate_at(input: &[Complex64], pos: f64) -> Complex64 {
-    if !pos.is_finite() {
+    let base = pos.floor();
+    // Some tap lands on a sample iff −HALF_TAPS ≤ base < len + HALF_TAPS;
+    // NaN and ±∞ fail the test too.
+    if !(base >= -(HALF_TAPS as f64) && base < (input.len() + HALF_TAPS) as f64) {
         return Complex64::ZERO;
     }
-    let base = pos.floor();
-    let frac = pos - base;
-    let base = base as isize;
+    let h = kernel(pos - base);
+    // The taps cover input[end − TAPS..end] (end ≥ 1 by the test above);
+    // those that land on a sample are input[lo..hi], under h[lo + TAPS − end..].
+    let end = (base + (HALF_TAPS + 1) as f64) as usize;
+    let (lo, hi) = (end.saturating_sub(TAPS), end.min(input.len()));
     let mut acc = Complex64::ZERO;
-    for m in -(HALF_TAPS as isize)..=HALF_TAPS as isize {
-        let idx = base + m;
-        if idx < 0 || idx as usize >= input.len() {
-            continue;
-        }
-        let t = m as f64 - frac;
-        let h = sinc(t) * hann_window(t);
-        acc += input[idx as usize].scale(h);
+    for (&x, &w) in input[lo..hi].iter().zip(&h[lo + TAPS - end..]) {
+        acc += x.scale(w);
     }
     acc
-}
-
-#[inline]
-fn sinc(t: f64) -> f64 {
-    if t.abs() < 1e-12 {
-        1.0
-    } else {
-        let pt = std::f64::consts::PI * t;
-        pt.sin() / pt
-    }
-}
-
-/// Hann window over the kernel support `[-HALF_TAPS, HALF_TAPS]`.
-#[inline]
-fn hann_window(t: f64) -> f64 {
-    let half = HALF_TAPS as f64 + 1.0;
-    if t.abs() >= half {
-        0.0
-    } else {
-        0.5 * (1.0 + (std::f64::consts::PI * t / half).cos())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
+
+    fn tone(f: f64, n: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| Complex64::cis(2.0 * PI * f * i as f64))
+            .collect()
+    }
 
     #[test]
     fn integer_delay_is_exact_shift() {
         let x: Vec<Complex64> = (0..10).map(|i| Complex64::real(i as f64)).collect();
-        let y = fractional_delay(&x, 3.0);
-        for yi in y.iter().take(3) {
-            assert_eq!(*yi, Complex64::ZERO);
+        for n in 0..3 {
+            assert_eq!(interpolate_at(&x, n as f64 - 3.0), Complex64::ZERO);
         }
         for (i, xi) in x.iter().enumerate() {
-            assert_eq!(y[i + 3], *xi);
+            assert_eq!(interpolate_at(&x, (i + 3) as f64 - 3.0), *xi);
         }
     }
 
@@ -174,14 +140,9 @@ mod tests {
         let x: Vec<Complex64> = (0..8)
             .map(|i| Complex64::new(i as f64, -(i as f64)))
             .collect();
-        let y = fractional_delay(&x, 0.0);
-        assert_eq!(&y[..8], &x[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_delay_rejected() {
-        fractional_delay(&[Complex64::ONE], -0.5);
+        for (i, xi) in x.iter().enumerate() {
+            assert_eq!(interpolate_at(&x, i as f64), *xi);
+        }
     }
 
     #[test]
@@ -191,16 +152,14 @@ mod tests {
         // kernel's accurate band.
         let n = 256;
         let f = 0.11; // cycles per sample
-        let x: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::cis(2.0 * PI * f * i as f64))
-            .collect();
+        let x = tone(f, n);
         let d = 0.5;
-        let y = fractional_delay(&x, d);
         // Compare in the steady-state middle region (skip kernel edges).
         let mut max_err: f64 = 0.0;
-        for (i, yi) in y.iter().enumerate().take(n - 32).skip(32) {
+        for i in 32..n - 32 {
+            let y = interpolate_at(&x, i as f64 - d);
             let expected = Complex64::cis(2.0 * PI * f * (i as f64 - d));
-            max_err = max_err.max((*yi - expected).abs());
+            max_err = max_err.max((y - expected).abs());
         }
         assert!(max_err < 1e-3, "max interpolation error {max_err}");
     }
@@ -211,14 +170,11 @@ mod tests {
         // slope from delay must be faithful.
         let n = 512;
         let f = 0.07;
-        let x: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::cis(2.0 * PI * f * i as f64))
-            .collect();
+        let x = tone(f, n);
         for &d in &[0.123, 0.5, 0.77, 1.3, 2.9] {
-            let y = fractional_delay(&x, d);
             let i = n / 2;
             let expected_phase = 2.0 * PI * f * (i as f64 - d);
-            let got_phase = y[i].arg();
+            let got_phase = interpolate_at(&x, i as f64 - d).arg();
             let err = crate::complex::wrap_phase(got_phase - expected_phase).abs();
             assert!(err < 1e-3, "phase error {err} at delay {d}");
         }
@@ -226,13 +182,15 @@ mod tests {
 
     #[test]
     fn energy_approximately_preserved() {
+        // Delaying by 1.37 samples over the whole support, tails included,
+        // keeps the energy of a bandlimited tone.
         let n = 256;
-        let x: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::cis(2.0 * PI * 0.13 * i as f64) * 0.9)
-            .collect();
+        let x: Vec<Complex64> = tone(0.13, n).into_iter().map(|v| v * 0.9).collect();
         let ein: f64 = x.iter().map(|v| v.norm_sqr()).sum();
-        let y = fractional_delay(&x, 1.37);
-        let eout: f64 = y.iter().map(|v| v.norm_sqr()).sum();
+        let d = 1.37;
+        let eout: f64 = (0..n + 2 * HALF_TAPS)
+            .map(|i| interpolate_at(&x, i as f64 - HALF_TAPS as f64 - d).norm_sqr())
+            .sum();
         assert!(
             (eout / ein - 1.0).abs() < 0.01,
             "energy ratio {}",
@@ -242,47 +200,24 @@ mod tests {
 
     #[test]
     fn resample_unity_ratio_is_identity() {
-        let x: Vec<Complex64> = (0..64)
-            .map(|i| Complex64::cis(2.0 * PI * 0.09 * i as f64))
-            .collect();
-        let y = resample(&x, 1.0, 0.0, 64);
-        for (a, b) in y.iter().zip(&x) {
-            assert!((*a - *b).abs() < 1e-12);
+        let x = tone(0.09, 64);
+        for (i, xi) in x.iter().enumerate() {
+            assert_eq!(interpolate_at(&x, i as f64), *xi);
         }
     }
 
     #[test]
     fn resample_matches_analytic_tone() {
-        // 20 ppm fast transmitter clock: ratio = 1 + 2e-5.
+        // Sampling-frequency offset: a 20 ppm fast transmitter clock, so
+        // output sample i reads input position i·ratio.
         let n = 4000;
         let f = 0.05;
-        let x: Vec<Complex64> = (0..n + 100)
-            .map(|i| Complex64::cis(2.0 * PI * f * i as f64))
-            .collect();
+        let x = tone(f, n + 100);
         let ratio = 1.0 + 2e-5;
-        let y = resample(&x, ratio, 0.0, n);
-        // Sample n of output corresponds to input position n·ratio.
         for &i in &[100usize, 1000, 3900] {
+            let y = interpolate_at(&x, i as f64 * ratio);
             let expected = Complex64::cis(2.0 * PI * f * i as f64 * ratio);
-            assert!(
-                (y[i] - expected).abs() < 2e-3,
-                "at {i}: {} vs {expected}",
-                y[i]
-            );
-        }
-    }
-
-    #[test]
-    fn resample_with_offset_matches_fractional_delay() {
-        let n = 256;
-        let x: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::cis(2.0 * PI * 0.11 * i as f64))
-            .collect();
-        let d = 2.7;
-        let a = fractional_delay(&x, d);
-        let b = resample(&x, 1.0, d, n);
-        for i in 40..n - 40 {
-            assert!((a[i] - b[i]).abs() < 1e-3, "at {i}");
+            assert!((y - expected).abs() < 2e-3, "at {i}: {y} vs {expected}");
         }
     }
 
@@ -290,20 +225,15 @@ mod tests {
     fn interpolate_outside_support_is_zero() {
         let x = vec![Complex64::ONE; 8];
         assert_eq!(interpolate_at(&x, -60.0), Complex64::ZERO);
+        assert_eq!(interpolate_at(&x, -24.5), Complex64::ZERO);
+        assert_eq!(interpolate_at(&x, 32.0), Complex64::ZERO);
         assert_eq!(interpolate_at(&x, 100.0), Complex64::ZERO);
         assert_eq!(interpolate_at(&x, f64::NAN), Complex64::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad ratio")]
-    fn resample_rejects_bad_ratio() {
-        resample(&[Complex64::ONE], 0.0, 0.0, 1);
-    }
-
-    #[test]
-    fn output_length_covers_delay() {
-        let x = vec![Complex64::ONE; 10];
-        let y = fractional_delay(&x, 5.25);
-        assert!(y.len() >= 15, "len {}", y.len());
+        assert_eq!(interpolate_at(&x, f64::INFINITY), Complex64::ZERO);
+        assert_eq!(interpolate_at(&x, f64::NEG_INFINITY), Complex64::ZERO);
+        assert_eq!(interpolate_at(&x, 1e300), Complex64::ZERO);
+        // The outermost taps still reach the signal just inside the bounds.
+        assert_ne!(interpolate_at(&x, -23.5), Complex64::ZERO);
+        assert_ne!(interpolate_at(&x, 31.5), Complex64::ZERO);
     }
 }

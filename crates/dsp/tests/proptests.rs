@@ -1,12 +1,76 @@
 //! Property-based tests for the DSP substrate's core invariants.
 
 use jmb_dsp::complex::{fit_linear_phase, wrap_phase};
+use jmb_dsp::delay::interpolate_at;
 use jmb_dsp::stats::{db_to_lin, lin_to_db, percentile, Cdf};
 use jmb_dsp::{CMat, Complex64, FftPlan};
 use proptest::prelude::*;
 
 fn complex_strategy() -> impl Strategy<Value = Complex64> {
     (-100.0..100.0f64, -100.0..100.0f64).prop_map(|(re, im)| Complex64::new(re, im))
+}
+
+/// Draws for [`position`]: (integer part, kind of fraction, uniform).
+fn position_strategy() -> impl Strategy<Value = (u64, u8, f64)> {
+    (0..u64::MAX, 0u8..10, 0.0..1.0f64)
+}
+
+/// An interpolation position for a `len`-sample input. The integer part
+/// runs from 30 samples before the start to 30 past the end, across both
+/// edges of the 49-tap kernel's support. The fraction is uniform, exactly
+/// 0, within 1e-12 of 0 or of 1 (where the sinc is pinned to 1), or
+/// log-uniformly 1e-12..1e-3 away from 0 or 1 (where the closed form's
+/// `sin(πf)` must stay accurate). Fractions lie on a 2⁻⁴⁴ grid, so that
+/// `pos + 64` has the same fraction. Positions can also be NaN or ±∞.
+fn position(len: usize, (b, kind, u): (u64, u8, f64)) -> f64 {
+    let base = (b % (len as u64 + 61)) as f64 - 30.0;
+    let grid = 2f64.powi(-44);
+    let on_grid = |f: f64| (f / grid).floor() * grid;
+    let tiny = (1.0 + (u * 15.0).floor()) * grid; // at most 16·2⁻⁴⁴ < 1e-12
+    let small = on_grid(10f64.powf(-3.0 - 9.0 * u));
+    match kind {
+        0..=2 => base + on_grid(u),
+        3 => base,
+        4 => base + tiny,
+        5 => base + (1.0 - tiny),
+        6 => base + small,
+        7 => base + (1.0 - small),
+        8 => f64::NAN,
+        _ if u < 0.5 => f64::INFINITY,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// Windowed-sinc interpolation straight from the kernel's definition, one
+/// `sin` and one `cos` per tap: the reference for `interpolate_at`'s
+/// closed form.
+fn direct_interpolate(input: &[Complex64], pos: f64) -> Complex64 {
+    use std::f64::consts::PI;
+    if !pos.is_finite() {
+        return Complex64::ZERO;
+    }
+    let base = pos.floor();
+    let frac = pos - base;
+    let mut acc = Complex64::ZERO;
+    for m in -24..=24isize {
+        let idx = base as isize + m;
+        if idx < 0 || idx as usize >= input.len() {
+            continue;
+        }
+        let t = m as f64 - frac;
+        let sinc = if t.abs() < 1e-12 {
+            1.0
+        } else {
+            (PI * t).sin() / (PI * t)
+        };
+        let hann = if t.abs() >= 25.0 {
+            0.0
+        } else {
+            0.5 * (1.0 + (PI * t / 25.0).cos())
+        };
+        acc += input[idx as usize].scale(sinc * hann);
+    }
+    acc
 }
 
 proptest! {
@@ -170,5 +234,48 @@ proptest! {
         let (c, s) = fit_linear_phase(&ks, &phasors);
         prop_assert!((s - slope).abs() < 1e-9, "slope {} vs {}", s, slope);
         prop_assert!(wrap_phase(c - common).abs() < 1e-9, "common {} vs {}", c, common);
+    }
+
+    #[test]
+    fn interpolation_weights_match_direct_formula(len in 1usize..120, p in position_strategy()) {
+        // A unit impulse at sample k reads out the kernel weight on k.
+        let pos = position(len, p);
+        for k in 0..len {
+            let mut x = vec![Complex64::ZERO; len];
+            x[k] = Complex64::ONE;
+            let (got, want) = (interpolate_at(&x, pos), direct_interpolate(&x, pos));
+            prop_assert!(got.im == 0.0 && (got.re - want.re).abs() <= 1e-15,
+                "pos {} sample {}: weight {} vs {}", pos, k, got.re, want.re);
+        }
+    }
+
+    #[test]
+    fn interpolation_matches_direct_formula(
+        x in prop::collection::vec(complex_strategy(), 1..120),
+        p in position_strategy(),
+    ) {
+        let pos = position(x.len(), p);
+        let (got, want) = (interpolate_at(&x, pos), direct_interpolate(&x, pos));
+        // 1e-15 per weight plus the rounding of two 49-term sums.
+        let scale: f64 = x.iter().map(|v| v.abs()).sum();
+        prop_assert!((got - want).abs() <= 2e-14 * scale, "pos {}: {} vs {}", pos, got, want);
+    }
+
+    #[test]
+    fn zero_padding_changes_nothing_bit_for_bit(
+        x in prop::collection::vec(complex_strategy(), 1..120),
+        p in position_strategy(),
+    ) {
+        // Taps off either end read zeros: padding the input with zeros must
+        // give the same bits, so the loop over the in-bounds taps pairs each
+        // sample with its own weight and sums them in kernel order.
+        const PAD: usize = 64;
+        let pos = position(x.len(), p);
+        let mut padded = vec![Complex64::ZERO; PAD];
+        padded.extend(&x);
+        padded.resize(x.len() + 2 * PAD, Complex64::ZERO);
+        let (a, b) = (interpolate_at(&x, pos), interpolate_at(&padded, pos + PAD as f64));
+        prop_assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+            "pos {}: {} vs zero-padded {}", pos, a, b);
     }
 }

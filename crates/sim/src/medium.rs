@@ -262,47 +262,43 @@ impl Medium {
 
         // Superpose every transmission.
         let end_s = start_s + n as f64 * ts_rx;
-        for ti in 0..self.transmissions.len() {
-            let (tx_id, tx_start, tx_len) = {
-                let t = &self.transmissions[ti];
-                (t.tx, t.start_s, t.samples.len())
-            };
-            if tx_id == rx {
+        for tx in &self.transmissions {
+            if tx.tx == rx {
                 continue;
             }
-            let Some(link) = self.links[tx_id.0][rx.0].clone() else {
+            let Some(link) = &self.links[tx.tx.0][rx.0] else {
                 continue;
             };
-            let ratio_tx = self.nodes[tx_id.0].traj.sample_ratio();
-            let fs_tx = fs * ratio_tx;
+            let traj = &mut self.nodes[tx.tx.0].traj;
+            let fs_tx = fs * traj.sample_ratio();
+            let tx_len = tx.samples.len();
             let tx_dur = tx_len as f64 / fs_tx;
             // Quick overlap rejection (with tap-delay + interpolation-kernel
             // slack).
             let slack = link.delay_s + link.fading.max_delay_s() + 32.0 / fs;
-            if tx_start > end_s || tx_start + tx_dur + slack < start_s {
+            if tx.start_s > end_s || tx.start_s + tx_dur + slack < start_s {
                 continue;
             }
             // Tx phase at each output time.
-            let tx_phases: Vec<f64> = times
-                .iter()
-                .map(|&t| self.nodes[tx_id.0].traj.phase_at(t))
-                .collect();
-            let taps = link.fading.taps();
-            let samples = &self.transmissions[ti].samples;
+            let tx_phases: Vec<f64> = times.iter().map(|&t| traj.phase_at(t)).collect();
+            // The link's taps as (delay in tx samples, gain).
+            let mut taps = link.fading.taps();
+            for (tau, _) in &mut taps {
+                *tau *= fs_tx;
+            }
             for (m, &t) in times.iter().enumerate() {
                 // Input-sample position (transmitter clock) for this output
                 // instant, before tap delays.
-                let base_pos = (t - tx_start - link.delay_s) * fs_tx;
+                let base_pos = (t - tx.start_s - link.delay_s) * fs_tx;
                 if base_pos < -(taps.len() as f64 * 8.0) - 32.0 || base_pos > tx_len as f64 + 32.0 {
                     continue;
                 }
                 let mut acc = Complex64::ZERO;
-                for &(tau, g) in &taps {
+                for &(shift, g) in &taps {
                     if g == Complex64::ZERO {
                         continue;
                     }
-                    let pos = base_pos - tau * fs_tx;
-                    let v = interpolate_at(samples, pos);
+                    let v = interpolate_at(&tx.samples, base_pos - shift);
                     if v != Complex64::ZERO {
                         acc = g.mul_add(v, acc);
                     }
